@@ -21,7 +21,7 @@ use silofuse_metrics::{
     privacy, resemblance, utility, PrivacyConfig, ResemblanceConfig, UtilityConfig,
 };
 use silofuse_tabular::csv::{read_csv, write_csv, CsvTable};
-use silofuse_tabular::partition::PartitionStrategy;
+use silofuse_tabular::partition::{PartitionPlan, PartitionStrategy};
 use silofuse_tabular::profiles;
 use std::collections::HashMap;
 use std::process::ExitCode;
@@ -176,6 +176,8 @@ USAGE:
       [--heartbeat-every N] [--retry-deadline DUR] [--retry-max-backoff DUR]
       [--checkpoint-dir D] [--checkpoint-every N] [--resume]
       Fit a synthesizer on the CSV (schema inferred) and write synthetic rows.
+      --clients (default 4) is the number of silos the distributed models
+      split the columns across; it may not exceed the CSV's column count.
       --faults injects seeded link faults into the distributed models, e.g.
       `--faults drop=0.05,delay=10ms,dup=0.02,seed=7`; the transport retries
       with exponential backoff and reports retransmits separately. Adding
@@ -505,7 +507,11 @@ fn cmd_synth(flags: &Flags) -> Result<(), String> {
     let ckpt = checkpointer_from_flags(flags)?;
 
     let csv = load_csv(input)?;
-    let clients = clients.min(csv.table.n_cols()).max(1);
+    if kind.is_distributed() {
+        // Every silo must own a column; refuse rather than run fewer.
+        PartitionPlan::try_new(csv.table.n_cols(), clients, PartitionStrategy::Default)
+            .map_err(|e| format!("--clients {clients} on {input}: {e}"))?;
+    }
     eprintln!(
         "fitting {} on {} ({} rows x {} cols, {} clients)...",
         kind.name(),

@@ -27,14 +27,34 @@ impl std::fmt::Display for InvalidChunkRows {
 
 impl std::error::Error for InvalidChunkRows {}
 
+/// A request named a client (silo) index the model does not have.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct UnknownClient {
+    /// The index the request named.
+    pub client: usize,
+    /// How many clients the model has (valid indices are `0..clients`).
+    pub clients: usize,
+}
+
+impl std::fmt::Display for UnknownClient {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "no client {}: the model has {} clients", self.client, self.clients)
+    }
+}
+
+impl std::error::Error for UnknownClient {}
+
 /// Everything a sampling request can be rejected for before any reverse
-/// diffusion runs: a bad strided-schedule length or a zero chunk size.
+/// diffusion runs: a bad strided-schedule length, a zero chunk size, or
+/// a client index out of range.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SampleRequestError {
     /// `inference_steps` was zero or exceeded the schedule's `T`.
     Steps(InvalidInferenceSteps),
     /// `chunk_rows` was zero.
     ChunkRows(InvalidChunkRows),
+    /// The requesting (or restarted) client does not exist.
+    Client(UnknownClient),
 }
 
 impl std::fmt::Display for SampleRequestError {
@@ -42,6 +62,7 @@ impl std::fmt::Display for SampleRequestError {
         match self {
             SampleRequestError::Steps(e) => e.fmt(f),
             SampleRequestError::ChunkRows(e) => e.fmt(f),
+            SampleRequestError::Client(e) => e.fmt(f),
         }
     }
 }
@@ -51,6 +72,7 @@ impl std::error::Error for SampleRequestError {
         match self {
             SampleRequestError::Steps(e) => Some(e),
             SampleRequestError::ChunkRows(e) => Some(e),
+            SampleRequestError::Client(e) => Some(e),
         }
     }
 }
@@ -64,6 +86,12 @@ impl From<InvalidInferenceSteps> for SampleRequestError {
 impl From<InvalidChunkRows> for SampleRequestError {
     fn from(e: InvalidChunkRows) -> Self {
         SampleRequestError::ChunkRows(e)
+    }
+}
+
+impl From<UnknownClient> for SampleRequestError {
+    fn from(e: UnknownClient) -> Self {
+        SampleRequestError::Client(e)
     }
 }
 
@@ -387,8 +415,11 @@ impl GaussianDdpm {
         let mut sampler = match self.chunked_sampler(n, inference_steps, eta, n.max(1), rng) {
             Ok(s) => s,
             Err(SampleRequestError::Steps(e)) => return Err(e),
-            // chunk_rows is n.max(1) >= 1, so ChunkRows cannot occur here.
-            Err(SampleRequestError::ChunkRows(_)) => unreachable!("chunk_rows >= 1"),
+            // chunk_rows is n.max(1) >= 1 and no client is named, so only
+            // Steps can occur here.
+            Err(e @ (SampleRequestError::ChunkRows(_) | SampleRequestError::Client(_))) => {
+                unreachable!("{e}")
+            }
         };
         match sampler.next_chunk() {
             Some((_, x)) => Ok(x),

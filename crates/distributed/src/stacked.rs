@@ -22,7 +22,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use silofuse_checkpoint::{CheckpointError, Checkpointer, CrashPoint};
 use silofuse_diffusion::backbone::{BackboneConfig, DiffusionBackbone};
-use silofuse_diffusion::gaussian::{GaussianDdpm, GaussianDiffusion, Parameterization};
+use silofuse_diffusion::gaussian::{
+    GaussianDdpm, GaussianDiffusion, Parameterization, UnknownClient,
+};
 use silofuse_diffusion::schedule::NoiseSchedule;
 use silofuse_models::latentdiff::{LatentDiffConfig, LatentScaler};
 use silofuse_models::TabularAutoencoder;
@@ -592,6 +594,16 @@ impl SiloFuseModel {
         *self.stats.lock()
     }
 
+    /// [`ProtocolError::InvalidRequest`] unless `client` indexes one of
+    /// this model's silos.
+    fn check_client(&self, client: usize, phase: &'static str) -> Result<(), ProtocolError> {
+        if client < self.clients.len() {
+            return Ok(());
+        }
+        let source = UnknownClient { client, clients: self.clients.len() }.into();
+        Err(ProtocolError::InvalidRequest { phase, source })
+    }
+
     /// Algorithm 2: client `requesting_client` asks for `n` samples; the
     /// coordinator denoises, partitions the synthetic latents, and every
     /// client decodes its own slice locally. The output stays vertically
@@ -638,7 +650,7 @@ impl SiloFuseModel {
         inference_steps: Option<usize>,
         rng: &mut StdRng,
     ) -> Result<Vec<Table>, ProtocolError> {
-        assert!(requesting_client < self.clients.len(), "no such client");
+        self.check_client(requesting_client, "synthesis-request")?;
         if self.sup.enabled() {
             // Supervised runs route through the membership-aware engine; a
             // caller insisting on the all-or-nothing Table API gets a typed
@@ -834,7 +846,8 @@ impl SiloFuseModel {
     ///   the whole backlog in sequence order — the silo catches up and
     ///   its output is bit-identical to an undisturbed run.
     /// - If the requesting client itself is dead, the lowest-indexed live
-    ///   silo issues the request instead.
+    ///   silo issues the request instead. One outside `0..n_clients()` is
+    ///   a [`ProtocolError::InvalidRequest`].
     ///
     /// Everything is driven by logical clocks (chunk indices) and the
     /// deterministic retry budget: a fixed seed and fault plan produce
@@ -846,7 +859,7 @@ impl SiloFuseModel {
         inference_steps: Option<usize>,
         rng: &mut StdRng,
     ) -> Result<Vec<SiloOutput>, ProtocolError> {
-        assert!(requesting_client < self.clients.len(), "no such client");
+        self.check_client(requesting_client, "synthesis-request")?;
         let m = self.clients.len();
         let sup = self.sup.clone();
         let degrade = sup.policy;
@@ -1160,9 +1173,10 @@ impl SiloFuseModel {
     /// latents are part of the coordinator's generative model (a silo dead
     /// *before* upload contributed nothing the DDPM could sample for).
     /// The fresh link re-arms the fault plan for that link id, including
-    /// any partition window.
+    /// any partition window. An `i` outside `0..n_clients()` is a
+    /// [`ProtocolError::InvalidRequest`].
     pub fn restart_silo(&mut self, i: usize) -> Result<(), ProtocolError> {
-        assert!(i < self.clients.len(), "no such client");
+        self.check_client(i, "rejoin")?;
         if self.membership.is_alive(i) && self.clients[i].state.is_some() {
             return Ok(());
         }
@@ -1378,6 +1392,7 @@ fn decode_pipeline_state(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use silofuse_diffusion::SampleRequestError;
     use silofuse_models::AutoencoderConfig;
     use silofuse_tabular::partition::{PartitionPlan, PartitionStrategy};
     use silofuse_tabular::profiles;
@@ -1413,6 +1428,46 @@ mod tests {
             assert_eq!(s.n_rows(), 32);
             assert_eq!(s.schema(), p.schema());
         }
+    }
+
+    /// A two-silo model trained for a handful of steps, for request checks.
+    fn tiny_model() -> SiloFuseModel {
+        let t = profiles::loan().generate(64, 5);
+        let mut cfg = quick_config(5);
+        cfg.ae_steps = 2;
+        cfg.diffusion_steps = 2;
+        SiloFuseModel::fit(&split(&t, 2), cfg, &mut StdRng::seed_from_u64(5))
+    }
+
+    fn assert_unknown_client(err: ProtocolError, phase: &str) {
+        let want = SampleRequestError::Client(UnknownClient { client: 2, clients: 2 });
+        assert!(
+            matches!(&err, ProtocolError::InvalidRequest { phase: p, source }
+                if *p == phase && *source == want),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn synthesis_from_an_unknown_client_is_a_typed_error() {
+        let mut model = tiny_model();
+        let mut rng = StdRng::seed_from_u64(5);
+        let err = model.try_synthesize_partitioned_with_steps(4, 2, None, &mut rng).unwrap_err();
+        assert_unknown_client(err, "synthesis-request");
+    }
+
+    #[test]
+    fn supervised_synthesis_from_an_unknown_client_is_a_typed_error() {
+        let mut model = tiny_model();
+        let mut rng = StdRng::seed_from_u64(5);
+        let err = model.try_synthesize_supervised(4, 2, None, &mut rng).unwrap_err();
+        assert_unknown_client(err, "synthesis-request");
+    }
+
+    #[test]
+    fn restarting_an_unknown_silo_is_a_typed_error() {
+        let err = tiny_model().restart_silo(2).unwrap_err();
+        assert_unknown_client(err, "rejoin");
     }
 
     #[test]

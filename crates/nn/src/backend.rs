@@ -1,8 +1,9 @@
 //! Pluggable compute backends for the dense kernels.
 //!
 //! Every dense operation in this crate — the three GEMM variants, axpy,
-//! element-wise map/zip, row reductions, and softmax — dispatches through a
-//! process-global [`Backend`]. Two implementations ship:
+//! element-wise map/zip, row reductions, softmax, and the GELU activation —
+//! dispatches through a process-global [`Backend`]. Two implementations
+//! ship:
 //!
 //! - [`Reference`]: the original single-threaded scalar loops, kept as the
 //!   correctness oracle.
@@ -47,7 +48,7 @@
 //! defaults to a single-worker [`Parallel`], i.e. serial SIMD kernels.
 
 use crate::sparse::{SparseField, SparseSpec};
-use crate::{f16, simd, workspace};
+use crate::{f16, gelu, simd, workspace};
 use std::fmt;
 use std::ops::Range;
 use std::sync::{Arc, OnceLock, RwLock};
@@ -103,6 +104,16 @@ pub trait Backend: Send + Sync + fmt::Debug {
 
     /// Row-wise numerically-stabilised softmax, in place.
     fn softmax_rows(&self, rows: usize, cols: usize, x: &mut [f32]);
+
+    /// GELU forward (tanh approximation): `out[i] = gelu(x[i])`. When
+    /// `tanh_out` is given it receives each element's `tanh` value, which
+    /// [`Backend::gelu_backward`] consumes instead of recomputing it. The
+    /// `tanh` is [`crate::gelu::tanh`], never the host libm.
+    fn gelu(&self, x: &[f32], out: &mut [f32], tanh_out: Option<&mut [f32]>);
+
+    /// GELU backward: `dx[i] = g[i] · gelu'(x[i])`, given the `tanh` values
+    /// the forward pass wrote for the same `x`.
+    fn gelu_backward(&self, x: &[f32], tanh: &[f32], g: &[f32], dx: &mut [f32]);
 
     /// Sparse one-hot forward: `out = X·W` where `X` is the densified
     /// `rows × in_width` batch described by `spec` + (`numeric`,
@@ -454,6 +465,14 @@ impl Backend for Reference {
             softmax_row(&mut x[r * cols..(r + 1) * cols]);
         }
     }
+
+    fn gelu(&self, x: &[f32], out: &mut [f32], tanh_out: Option<&mut [f32]>) {
+        gelu::forward_scalar(x, out, tanh_out);
+    }
+
+    fn gelu_backward(&self, x: &[f32], tanh: &[f32], g: &[f32], dx: &mut [f32]) {
+        gelu::backward_lanes(x, tanh, g, dx);
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -728,6 +747,30 @@ impl Backend for Parallel {
         });
     }
 
+    fn gelu(&self, x: &[f32], out: &mut [f32], tanh_out: Option<&mut [f32]>) {
+        if self.threads == 1 || x.len() < PAR_ELEM_MIN {
+            return simd::gelu(x, out, tanh_out);
+        }
+        let block = x.len().div_ceil(self.threads * 4);
+        let mut tanh_chunks = tanh_out.map(|t| t.chunks_mut(block));
+        let jobs: Vec<_> = x
+            .chunks(block)
+            .zip(out.chunks_mut(block))
+            .map(|(xc, oc)| (xc, oc, tanh_chunks.as_mut().and_then(Iterator::next)))
+            .collect();
+        run_jobs(self.threads, jobs, |(xc, oc, tc)| simd::gelu(xc, oc, tc));
+    }
+
+    fn gelu_backward(&self, x: &[f32], tanh: &[f32], g: &[f32], dx: &mut [f32]) {
+        if self.threads == 1 || x.len() < PAR_ELEM_MIN {
+            return simd::gelu_backward(x, tanh, g, dx);
+        }
+        self.run_elems(dx, |offset, chunk| {
+            let end = offset + chunk.len();
+            simd::gelu_backward(&x[offset..end], &tanh[offset..end], &g[offset..end], chunk);
+        });
+    }
+
     fn elementwise_parallelism(&self, elems: usize) -> usize {
         if elems >= PAR_ELEM_MIN {
             self.threads
@@ -749,7 +792,7 @@ impl Backend for Parallel {
 /// [`crate::f16::quantize_slice`] before the multiply; the multiply-add
 /// chain itself runs in f32 through the wrapped backend, so accumulation
 /// error does not compound on top of storage error. Element-wise kernels,
-/// reductions, and softmax delegate unchanged in f32.
+/// reductions, softmax, and GELU delegate unchanged in f32.
 ///
 /// This backend is **not** bit-identical to [`Reference`] — rounding is
 /// the point — which is why the global dispatch never routes through it
@@ -877,6 +920,14 @@ impl Backend for HalfPrecision {
 
     fn softmax_rows(&self, rows: usize, cols: usize, x: &mut [f32]) {
         self.inner.softmax_rows(rows, cols, x);
+    }
+
+    fn gelu(&self, x: &[f32], out: &mut [f32], tanh_out: Option<&mut [f32]>) {
+        self.inner.gelu(x, out, tanh_out);
+    }
+
+    fn gelu_backward(&self, x: &[f32], tanh: &[f32], g: &[f32], dx: &mut [f32]) {
+        self.inner.gelu_backward(x, tanh, g, dx);
     }
 
     fn elementwise_parallelism(&self, elems: usize) -> usize {
@@ -1105,7 +1156,14 @@ pub const SUM_ROWS_COUNTERS: KernelCounters =
 pub const SOFTMAX_COUNTERS: KernelCounters =
     KernelCounters { calls: "nn.kernel.softmax.calls", nanos: "nn.kernel.softmax.ns" };
 
-/// The kernel counter name pairs emitted by this crate.
+/// Counters for [`Backend::gelu`] / [`Backend::gelu_backward`]. Not (yet)
+/// part of [`KERNEL_COUNTERS`]: the perfbench metric catalogue pins that
+/// list, so the entry joins it together with a catalogue update.
+pub const GELU_COUNTERS: KernelCounters =
+    KernelCounters { calls: "nn.kernel.gelu.calls", nanos: "nn.kernel.gelu.ns" };
+
+/// The kernel counter name pairs emitted by this crate, except
+/// [`GELU_COUNTERS`].
 pub const KERNEL_COUNTERS: &[KernelCounters] = &[
     GEMM_COUNTERS,
     GEMM_TRANSPOSE_COUNTERS,

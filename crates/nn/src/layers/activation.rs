@@ -2,6 +2,7 @@
 
 use super::{Layer, Mode, Param};
 use crate::tensor::Tensor;
+use crate::{backend, gelu, workspace};
 
 /// The supported activation nonlinearities.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -20,7 +21,6 @@ pub enum ActivationKind {
 }
 
 const LEAKY_SLOPE: f32 = 0.2;
-const GELU_C: f32 = 0.797_884_6; // sqrt(2/pi)
 
 impl ActivationKind {
     /// Applies the activation to a scalar.
@@ -35,11 +35,8 @@ impl ActivationKind {
                     LEAKY_SLOPE * x
                 }
             }
-            ActivationKind::Gelu => {
-                let inner = GELU_C * (x + 0.044715 * x * x * x);
-                0.5 * x * (1.0 + inner.tanh())
-            }
-            ActivationKind::Tanh => x.tanh(),
+            ActivationKind::Gelu => gelu::gelu(x).0,
+            ActivationKind::Tanh => gelu::tanh(x),
             ActivationKind::Sigmoid => 1.0 / (1.0 + (-x).exp()),
         }
     }
@@ -63,14 +60,10 @@ impl ActivationKind {
                 }
             }
             ActivationKind::Gelu => {
-                let x3 = 0.044715 * x * x * x;
-                let inner = GELU_C * (x + x3);
-                let t = inner.tanh();
-                let sech2 = 1.0 - t * t;
-                0.5 * (1.0 + t) + 0.5 * x * sech2 * GELU_C * (1.0 + 3.0 * 0.044715 * x * x)
+                gelu::gelu_derivative_from_tanh(x, gelu::tanh(gelu::gelu_inner(x)))
             }
             ActivationKind::Tanh => {
-                let t = x.tanh();
+                let t = gelu::tanh(x);
                 1.0 - t * t
             }
             ActivationKind::Sigmoid => {
@@ -82,16 +75,22 @@ impl ActivationKind {
 }
 
 /// Stateless element-wise activation layer.
+///
+/// GELU runs through [`backend::Backend::gelu`]. In `Train` mode every
+/// kind keeps what its backward pass needs, and no kind recomputes a
+/// `tanh` there: GELU keeps its input and its `tanh` values, Tanh keeps
+/// its output, the others keep their input.
 #[derive(Debug, Clone)]
 pub struct Activation {
     kind: ActivationKind,
     cached_input: Option<Tensor>,
+    cached_tanh: Option<Tensor>,
 }
 
 impl Activation {
     /// Creates an activation layer of the given kind.
     pub fn new(kind: ActivationKind) -> Self {
-        Self { kind, cached_input: None }
+        Self { kind, cached_input: None, cached_tanh: None }
     }
 
     /// The nonlinearity this layer applies.
@@ -100,22 +99,71 @@ impl Activation {
     }
 }
 
+const NO_FORWARD: &str = "Activation::backward called without a cached forward pass";
+
 impl Layer for Activation {
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
-        if mode == Mode::Train {
-            crate::workspace::cache_assign(&mut self.cached_input, input);
-        }
         let kind = self.kind;
-        input.map(|v| kind.apply(v))
+        match kind {
+            ActivationKind::Gelu => {
+                let mut out = workspace::take(input.rows(), input.cols());
+                let tanh = if mode == Mode::Train {
+                    workspace::cache_assign(&mut self.cached_input, input);
+                    let t =
+                        workspace::cache_slot(&mut self.cached_tanh, input.rows(), input.cols());
+                    Some(t.as_mut_slice())
+                } else {
+                    None
+                };
+                backend::timed(backend::GELU_COUNTERS, || {
+                    backend::get().gelu(input.as_slice(), out.as_mut_slice(), tanh)
+                });
+                out
+            }
+            ActivationKind::Tanh => {
+                let out = input.map(gelu::tanh);
+                if mode == Mode::Train {
+                    workspace::cache_assign(&mut self.cached_tanh, &out);
+                }
+                out
+            }
+            _ => {
+                if mode == Mode::Train {
+                    workspace::cache_assign(&mut self.cached_input, input);
+                }
+                input.map(|v| kind.apply(v))
+            }
+        }
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let input = self
-            .cached_input
-            .as_ref()
-            .expect("Activation::backward called without a cached forward pass");
         let kind = self.kind;
-        grad_output.zip_with(input, |g, x| g * kind.derivative(x))
+        match kind {
+            ActivationKind::Gelu => {
+                let (Some(x), Some(t)) = (&self.cached_input, &self.cached_tanh) else {
+                    panic!("{NO_FORWARD}")
+                };
+                assert_eq!(grad_output.shape(), x.shape(), "Activation::backward shape mismatch");
+                let mut dx = workspace::take(x.rows(), x.cols());
+                backend::timed(backend::GELU_COUNTERS, || {
+                    backend::get().gelu_backward(
+                        x.as_slice(),
+                        t.as_slice(),
+                        grad_output.as_slice(),
+                        dx.as_mut_slice(),
+                    )
+                });
+                dx
+            }
+            ActivationKind::Tanh => {
+                let y = self.cached_tanh.as_ref().expect(NO_FORWARD);
+                grad_output.zip_with(y, |g, t| g * (1.0 - t * t))
+            }
+            _ => {
+                let input = self.cached_input.as_ref().expect(NO_FORWARD);
+                grad_output.zip_with(input, |g, x| g * kind.derivative(x))
+            }
+        }
     }
 
     fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Param)) {}

@@ -39,6 +39,7 @@
 pub mod backend;
 pub mod embedding;
 pub mod f16;
+pub mod gelu;
 pub mod init;
 pub mod layers;
 pub mod loss;

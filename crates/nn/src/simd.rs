@@ -206,6 +206,34 @@ pub fn scale(alpha: f32, y: &mut [f32]) {
     }
 }
 
+/// GELU forward, `out[i] = gelu(x[i])`, with `t[i] = tanh(inner(x[i]))`
+/// when `t` is given. The AVX2 and SSE2 levels run the branch-free lane
+/// form of [`crate::gelu`], the scalar level its scalar oracle; all three
+/// are bit-identical.
+pub fn gelu(x: &[f32], out: &mut [f32], t: Option<&mut [f32]>) {
+    #[cfg(target_arch = "x86_64")]
+    match level() {
+        // SAFETY: gated on runtime feature detection.
+        SimdLevel::Avx2 => unsafe { x86::gelu_avx2(x, out, t) },
+        SimdLevel::Sse2 => crate::gelu::forward_lanes(x, out, t),
+        SimdLevel::Scalar => crate::gelu::forward_scalar(x, out, t),
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    crate::gelu::forward_lanes(x, out, t)
+}
+
+/// GELU backward from the forward's `tanh` values:
+/// `dx[i] = g[i] · gelu'(x[i])` (bit-identical at every level).
+pub fn gelu_backward(x: &[f32], t: &[f32], g: &[f32], dx: &mut [f32]) {
+    #[cfg(target_arch = "x86_64")]
+    if level() == SimdLevel::Avx2 {
+        // SAFETY: gated on runtime feature detection.
+        unsafe { x86::gelu_backward_avx2(x, t, g, dx) };
+        return;
+    }
+    crate::gelu::backward_lanes(x, t, g, dx)
+}
+
 /// Scalar fallback with the identical per-element accumulation order.
 #[allow(clippy::too_many_arguments)]
 fn scalar_broadcast_gemm(
@@ -481,6 +509,24 @@ mod x86 {
             *yp.add(i) += alpha * *xp.add(i);
             i += 1;
         }
+    }
+
+    /// AVX2 GELU forward: the lane form inlined into an AVX2 loop.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2 ([`super::level`] checks it).
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn gelu_avx2(x: &[f32], out: &mut [f32], t: Option<&mut [f32]>) {
+        crate::gelu::forward_lanes(x, out, t)
+    }
+
+    /// AVX2 GELU backward.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2 ([`super::level`] checks it).
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn gelu_backward_avx2(x: &[f32], t: &[f32], g: &[f32], dx: &mut [f32]) {
+        crate::gelu::backward_lanes(x, t, g, dx)
     }
 
     /// AVX2 `y *= alpha`.

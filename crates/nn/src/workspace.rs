@@ -114,21 +114,28 @@ pub fn recycle_vec(buf: Vec<f32>) {
 }
 
 /// Refreshes a cache slot with a copy of `src`, reusing the existing
-/// allocation when the shape matches and recycling it when it does not.
-/// This is how layers keep their `cached_input` across steps without a
-/// fresh clone per forward pass.
+/// allocation when the shape matches; see [`cache_slot`]. This is how
+/// layers keep their `cached_input` across steps without a fresh clone
+/// per forward pass.
 pub fn cache_assign(slot: &mut Option<Tensor>, src: &Tensor) {
-    match slot {
-        Some(t) if t.shape() == src.shape() => {
-            t.as_mut_slice().copy_from_slice(src.as_slice());
-        }
-        _ => {
-            if let Some(old) = slot.take() {
-                recycle(old);
-            }
-            *slot = Some(take_copy(src));
+    cache_slot(slot, src.rows(), src.cols()).as_mut_slice().copy_from_slice(src.as_slice());
+}
+
+/// A `rows×cols` tensor held in a cache slot: the slot's own storage when
+/// the shape matches, otherwise an exact-size allocation (the old storage
+/// goes back to the pool). **Contents are unspecified.**
+///
+/// A slot lives as long as its layer, so it does not take from the pool:
+/// the smallest pooled buffer that fits can be one a large inference
+/// batch left behind, and a cache holding it would pin that memory while
+/// the next such batch allocates anew.
+pub fn cache_slot(slot: &mut Option<Tensor>, rows: usize, cols: usize) -> &mut Tensor {
+    if slot.as_ref().is_some_and(|t| t.shape() != (rows, cols)) {
+        if let Some(old) = slot.take() {
+            recycle(old);
         }
     }
+    slot.get_or_insert_with(|| Tensor::zeros(rows, cols))
 }
 
 /// Pool takes served from a recycled buffer (this thread).

@@ -87,8 +87,8 @@ proptest! {
         }
     }
 
-    /// The elementwise and reduction kernels agree bitwise too (sizes
-    /// straddle the elementwise dispatch threshold).
+    /// The elementwise, reduction and GELU kernels agree bitwise too
+    /// (sizes straddle the elementwise dispatch threshold).
     #[test]
     fn elementwise_kernels_bit_identical(seed in 0u64..1000, rows in 1usize..400, cols in 1usize..300) {
         let x = noise(rows * cols, seed ^ 0x7777);
@@ -127,6 +127,24 @@ proptest! {
             let mut got = x.clone();
             par.softmax_rows(rows, cols, &mut got);
             prop_assert!(bits_eq(&want, &got), "softmax diverged at {t} threads");
+
+            // GELU: the scalar oracle against the vector lanes, with and
+            // without the tanh values kept for backward.
+            let (mut want, mut want_t) = (vec![0.0f32; x.len()], vec![0.0f32; x.len()]);
+            Reference.gelu(&x, &mut want, Some(&mut want_t));
+            let (mut got, mut got_t) = (vec![0.0f32; x.len()], vec![0.0f32; x.len()]);
+            par.gelu(&x, &mut got, Some(&mut got_t));
+            prop_assert!(bits_eq(&want, &got), "gelu diverged at {t} threads");
+            prop_assert!(bits_eq(&want_t, &got_t), "gelu tanh diverged at {t} threads");
+            let mut got = vec![0.0f32; x.len()];
+            par.gelu(&x, &mut got, None);
+            prop_assert!(bits_eq(&want, &got), "uncached gelu diverged at {t} threads");
+
+            let mut want = vec![0.0f32; x.len()];
+            Reference.gelu_backward(&x, &want_t, &y0, &mut want);
+            let mut got = vec![0.0f32; x.len()];
+            par.gelu_backward(&x, &want_t, &y0, &mut got);
+            prop_assert!(bits_eq(&want, &got), "gelu_backward diverged at {t} threads");
         }
     }
 }

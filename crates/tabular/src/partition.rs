@@ -25,6 +25,35 @@ pub enum PartitionStrategy {
     },
 }
 
+/// Why a table cannot be split across the requested clients.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PartitionError {
+    /// Zero clients were requested.
+    NoClients,
+    /// Every client must own at least one column.
+    TooManyClients {
+        /// Clients requested.
+        clients: usize,
+        /// Columns the table has.
+        columns: usize,
+    },
+}
+
+impl std::fmt::Display for PartitionError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            PartitionError::NoClients => write!(f, "need at least one client"),
+            PartitionError::TooManyClients { clients, columns } => write!(
+                f,
+                "cannot split {columns} columns across {clients} clients: \
+                 each client needs at least one column, so use at most {columns}"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for PartitionError {}
+
 /// A vertical partition plan: which original column indices each client owns.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PartitionPlan {
@@ -39,10 +68,25 @@ impl PartitionPlan {
     /// post-division").
     ///
     /// # Panics
-    /// Panics if `n_clients` is zero or exceeds `n_cols`.
+    /// Panics if `n_clients` is zero or exceeds `n_cols`; see
+    /// [`PartitionPlan::try_new`] for the typed error.
     pub fn new(n_cols: usize, n_clients: usize, strategy: PartitionStrategy) -> Self {
-        assert!(n_clients >= 1, "need at least one client");
-        assert!(n_clients <= n_cols, "cannot split {n_cols} columns across {n_clients} clients");
+        Self::try_new(n_cols, n_clients, strategy).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`PartitionPlan::new`] that returns a [`PartitionError`] instead of
+    /// panicking when `n_clients` is zero or exceeds `n_cols`.
+    pub fn try_new(
+        n_cols: usize,
+        n_clients: usize,
+        strategy: PartitionStrategy,
+    ) -> Result<Self, PartitionError> {
+        if n_clients == 0 {
+            return Err(PartitionError::NoClients);
+        }
+        if n_clients > n_cols {
+            return Err(PartitionError::TooManyClients { clients: n_clients, columns: n_cols });
+        }
         let mut order: Vec<usize> = (0..n_cols).collect();
         if let PartitionStrategy::Permuted { seed } = strategy {
             let mut rng = StdRng::seed_from_u64(seed);
@@ -56,7 +100,7 @@ impl PartitionPlan {
             assignments.push(order[cursor..cursor + take].to_vec());
             cursor += take;
         }
-        Self { assignments }
+        Ok(Self { assignments })
     }
 
     /// Number of clients.
@@ -178,5 +222,14 @@ mod tests {
     #[should_panic(expected = "cannot split")]
     fn more_clients_than_columns_rejected() {
         let _ = PartitionPlan::new(2, 3, PartitionStrategy::Default);
+    }
+
+    #[test]
+    fn try_new_types_the_rejections() {
+        let plan =
+            |cols, clients| PartitionPlan::try_new(cols, clients, PartitionStrategy::Default);
+        assert_eq!(plan(2, 3), Err(PartitionError::TooManyClients { clients: 3, columns: 2 }));
+        assert_eq!(plan(2, 0), Err(PartitionError::NoClients));
+        assert_eq!(plan(3, 3).map(|p| p.n_clients()), Ok(3));
     }
 }
