@@ -65,9 +65,10 @@ pub struct CliOptions {
     /// `checkpoint_dir` (`--resume`).
     pub resume: bool,
     /// Worker threads for the dense-kernel backend (`--threads N`).
-    /// 1 = serial SIMD kernels; results are bit-identical at every
-    /// thread count.
-    pub threads: usize,
+    /// None = the program default (`SILOFUSE_THREADS`, else one worker
+    /// per core); 1 = serial SIMD kernels. Results are bit-identical at
+    /// every thread count.
+    pub threads: Option<usize>,
     /// Numeric precision mode (`--precision f32|f16`). `f16` opts
     /// inference into half-precision operand storage; training always
     /// stays f32.
@@ -89,7 +90,7 @@ impl Default for CliOptions {
             checkpoint_dir: None,
             checkpoint_every: 50,
             resume: false,
-            threads: 1,
+            threads: None,
             precision: silofuse_nn::backend::Precision::F32,
         }
     }
@@ -187,11 +188,12 @@ pub fn parse_cli() -> CliOptions {
                     .expect("--precision needs f32 or f16");
             }
             "--threads" => {
-                opts.threads = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n > 0)
-                    .expect("--threads needs a positive integer");
+                opts.threads = Some(
+                    args.next()
+                        .and_then(|v| v.parse().ok())
+                        .filter(|&n| n > 0)
+                        .expect("--threads needs a positive integer"),
+                );
             }
             other => panic!(
                 "unknown argument {other}; supported: --quick --trace --expose FILE --trials N \
@@ -204,7 +206,9 @@ pub fn parse_cli() -> CliOptions {
     if opts.resume && opts.checkpoint_dir.is_none() {
         panic!("--resume needs --checkpoint-dir to load from");
     }
-    silofuse_nn::backend::set_threads(opts.threads);
+    if let Some(threads) = opts.threads {
+        silofuse_nn::backend::set_threads(threads);
+    }
     silofuse_nn::backend::set_precision(opts.precision);
     opts
 }

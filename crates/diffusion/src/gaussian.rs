@@ -45,8 +45,8 @@ impl std::fmt::Display for UnknownClient {
 impl std::error::Error for UnknownClient {}
 
 /// Everything a sampling request can be rejected for before any reverse
-/// diffusion runs: a bad strided-schedule length, a zero chunk size, or
-/// a client index out of range.
+/// diffusion runs: a bad strided-schedule length, a zero chunk size, a
+/// client index out of range, or a model with nothing fitted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SampleRequestError {
     /// `inference_steps` was zero or exceeded the schedule's `T`.
@@ -55,6 +55,8 @@ pub enum SampleRequestError {
     ChunkRows(InvalidChunkRows),
     /// The requesting (or restarted) client does not exist.
     Client(UnknownClient),
+    /// The model holds no fitted generative model to sample from.
+    NotFitted,
 }
 
 impl std::fmt::Display for SampleRequestError {
@@ -63,6 +65,7 @@ impl std::fmt::Display for SampleRequestError {
             SampleRequestError::Steps(e) => e.fmt(f),
             SampleRequestError::ChunkRows(e) => e.fmt(f),
             SampleRequestError::Client(e) => e.fmt(f),
+            SampleRequestError::NotFitted => write!(f, "the model is not fitted"),
         }
     }
 }
@@ -73,6 +76,7 @@ impl std::error::Error for SampleRequestError {
             SampleRequestError::Steps(e) => Some(e),
             SampleRequestError::ChunkRows(e) => Some(e),
             SampleRequestError::Client(e) => Some(e),
+            SampleRequestError::NotFitted => None,
         }
     }
 }
@@ -415,11 +419,13 @@ impl GaussianDdpm {
         let mut sampler = match self.chunked_sampler(n, inference_steps, eta, n.max(1), rng) {
             Ok(s) => s,
             Err(SampleRequestError::Steps(e)) => return Err(e),
-            // chunk_rows is n.max(1) >= 1 and no client is named, so only
-            // Steps can occur here.
-            Err(e @ (SampleRequestError::ChunkRows(_) | SampleRequestError::Client(_))) => {
-                unreachable!("{e}")
-            }
+            // chunk_rows is n.max(1) >= 1, no client is named and a DDPM
+            // is always fitted, so only Steps can occur here.
+            Err(
+                e @ (SampleRequestError::ChunkRows(_)
+                | SampleRequestError::Client(_)
+                | SampleRequestError::NotFitted),
+            ) => unreachable!("{e}"),
         };
         match sampler.next_chunk() {
             Some((_, x)) => Ok(x),

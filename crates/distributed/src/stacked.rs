@@ -23,7 +23,7 @@ use rand::{Rng, SeedableRng};
 use silofuse_checkpoint::{CheckpointError, Checkpointer, CrashPoint};
 use silofuse_diffusion::backbone::{BackboneConfig, DiffusionBackbone};
 use silofuse_diffusion::gaussian::{
-    GaussianDdpm, GaussianDiffusion, Parameterization, UnknownClient,
+    GaussianDdpm, GaussianDiffusion, Parameterization, SampleRequestError, UnknownClient,
 };
 use silofuse_diffusion::schedule::NoiseSchedule;
 use silofuse_models::latentdiff::{LatentDiffConfig, LatentScaler};
@@ -604,6 +604,17 @@ impl SiloFuseModel {
         Err(ProtocolError::InvalidRequest { phase, source })
     }
 
+    /// The fitted coordinator, or [`ProtocolError::InvalidRequest`] when
+    /// the model has none to sample from.
+    fn fitted_coordinator(
+        coordinator: &mut Option<Coordinator>,
+    ) -> Result<&mut Coordinator, ProtocolError> {
+        coordinator.as_mut().ok_or(ProtocolError::InvalidRequest {
+            phase: "synthesis-request",
+            source: SampleRequestError::NotFitted,
+        })
+    }
+
     /// Algorithm 2: client `requesting_client` asks for `n` samples; the
     /// coordinator denoises, partitions the synthetic latents, and every
     /// client decodes its own slice locally. The output stays vertically
@@ -674,6 +685,9 @@ impl SiloFuseModel {
             }
             return Ok(tables);
         }
+        // Checked before the request is sent, the caller's RNG is drawn
+        // from and a synthesis checkpoint is written.
+        let coord = Self::fitted_coordinator(&mut self.coordinator)?;
         let reliable = self.net.reliable();
         let policy = self.net.retry;
 
@@ -745,7 +759,6 @@ impl SiloFuseModel {
             ckpt.save(&synth_name, "synthesis", 0, &payload).map_err(coord_err)?;
         }
 
-        let coord = self.coordinator.as_mut().expect("model is fitted");
         let Coordinator { ddpm, scaler, latent_widths, .. } = coord;
         let mut sampler =
             ddpm.chunked_sampler_from_base(n, steps, self.config.eta, chunk_rows, base).map_err(
@@ -860,6 +873,7 @@ impl SiloFuseModel {
         rng: &mut StdRng,
     ) -> Result<Vec<SiloOutput>, ProtocolError> {
         self.check_client(requesting_client, "synthesis-request")?;
+        let coord = Self::fitted_coordinator(&mut self.coordinator)?;
         let m = self.clients.len();
         let sup = self.sup.clone();
         let degrade = sup.policy;
@@ -959,7 +973,6 @@ impl SiloFuseModel {
             ckpt.save(&synth_name, "synthesis", 0, &payload).map_err(coord_err)?;
         }
 
-        let coord = self.coordinator.as_mut().expect("model is fitted");
         let Coordinator { ddpm, scaler, latent_widths, model_silos } = coord;
         let mut sampler =
             ddpm.chunked_sampler_from_base(n, steps, self.config.eta, chunk_rows, base).map_err(
@@ -1462,6 +1475,50 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let err = model.try_synthesize_supervised(4, 2, None, &mut rng).unwrap_err();
         assert_unknown_client(err, "synthesis-request");
+    }
+
+    #[test]
+    fn synthesizing_an_unfitted_model_is_a_typed_error_with_no_side_effects() {
+        let dir =
+            std::env::temp_dir().join(format!("silofuse-unfitted-synth-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let t = profiles::loan().generate(64, 5);
+        let mut cfg = quick_config(5);
+        cfg.ae_steps = 2;
+        cfg.diffusion_steps = 2;
+        let ckpt = Checkpointer::new(&dir, 1);
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut model = SiloFuseModel::try_fit_with_checkpoints(
+            &split(&t, 2),
+            cfg,
+            &NetConfig::default(),
+            Some(&ckpt),
+            &mut rng,
+        )
+        .unwrap();
+        model.coordinator = None;
+        let state = rng.state();
+        let not_fitted = |err: ProtocolError| {
+            matches!(
+                err,
+                ProtocolError::InvalidRequest {
+                    phase: "synthesis-request",
+                    source: SampleRequestError::NotFitted,
+                }
+            )
+        };
+        let err = model.try_synthesize_partitioned_with_steps(4, 0, None, &mut rng).unwrap_err();
+        assert!(not_fitted(err));
+        let err = model.try_synthesize_supervised(4, 0, None, &mut rng).unwrap_err();
+        assert!(not_fitted(err));
+        assert_eq!(rng.state(), state, "the caller's RNG must not be drawn from");
+        let synth_files: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .filter_map(|e| e.ok()?.file_name().into_string().ok())
+            .filter(|name| name.starts_with("coordinator-synth"))
+            .collect();
+        let _ = std::fs::remove_dir_all(&dir);
+        assert!(synth_files.is_empty(), "unexpected synthesis checkpoints {synth_files:?}");
     }
 
     #[test]

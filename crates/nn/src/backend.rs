@@ -1,20 +1,23 @@
 //! Pluggable compute backends for the dense kernels.
 //!
-//! Every dense operation in this crate — the three GEMM variants, axpy,
-//! element-wise map/zip, row reductions, softmax, and the GELU activation —
-//! dispatches through a process-global [`Backend`]. Two implementations
+//! Every dense operation in this crate — the three GEMM variants, the
+//! sparse gather/scatter, axpy/scale, row reductions, softmax, and the
+//! GELU activation — dispatches through a process-global [`Backend`].
+//! (`Tensor`'s closure-taking `map`/`zip` run inline: a `dyn Fn` call per
+//! element costs more than a second core recovers.) Three implementations
 //! ship:
 //!
 //! - [`Reference`]: the original single-threaded scalar loops, kept as the
 //!   correctness oracle.
 //! - [`Parallel`]: register-blocked SIMD micro-kernels (AVX2/SSE2 by
 //!   runtime detection, scalar fallback — see [`crate::simd`]) whose
-//!   output rows are partitioned into blocks and drained by a scoped
-//!   worker pool (a shared MPMC work queue over the vendored crossbeam
-//!   channels — idle workers grab the next block, so uneven blocks
-//!   self-balance). `gemm_transpose` packs the `Bᵀ` panel k-major first,
-//!   so the hot loop reads both operands contiguously instead of paying a
-//!   strided load per multiply.
+//!   output rows are partitioned into blocks. The calling thread and the
+//!   long-lived helpers of one process-wide worker pool claim blocks one
+//!   at a time, so uneven blocks self-balance; the caller drains blocks
+//!   itself and never waits for a helper to start (see `pool.rs`).
+//!   `gemm_transpose` packs the `Bᵀ` panel k-major first, so the hot loop
+//!   reads both operands contiguously instead of paying a strided load per
+//!   multiply.
 //! - [`HalfPrecision`]: an opt-in low-precision wrapper for synthesis —
 //!   matrix-product operands are rounded to IEEE binary16 storage
 //!   ([`crate::f16`]) and accumulated in f32. Selected with
@@ -45,18 +48,14 @@
 //!
 //! The global backend is selected with [`set_threads`] (the CLI's
 //! `--threads N`) or the `SILOFUSE_THREADS` environment variable; it
-//! defaults to a single-worker [`Parallel`], i.e. serial SIMD kernels.
+//! defaults to a [`Parallel`] with one worker per available core.
+//! `SILOFUSE_THREADS=1` selects serial SIMD kernels.
 
 use crate::sparse::{SparseField, SparseSpec};
-use crate::{f16, gelu, simd, workspace};
+use crate::{f16, gelu, pool, simd, workspace};
 use std::fmt;
 use std::ops::Range;
-use std::sync::{Arc, OnceLock, RwLock};
-
-/// Element-wise unary function passed to backend map kernels.
-pub type MapFn<'a> = &'a (dyn Fn(f32) -> f32 + Sync);
-/// Element-wise binary function passed to backend zip kernels.
-pub type ZipFn<'a> = &'a (dyn Fn(f32, f32) -> f32 + Sync);
+use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock};
 
 /// A dense-math execution engine.
 ///
@@ -85,18 +84,6 @@ pub trait Backend: Send + Sync + fmt::Debug {
 
     /// `y *= alpha`.
     fn scale(&self, alpha: f32, y: &mut [f32]);
-
-    /// `out[i] = f(x[i])`.
-    fn map(&self, x: &[f32], out: &mut [f32], f: MapFn);
-
-    /// `x[i] = f(x[i])`.
-    fn map_inplace(&self, x: &mut [f32], f: MapFn);
-
-    /// `out[i] = f(a[i], b[i])`.
-    fn zip(&self, a: &[f32], b: &[f32], out: &mut [f32], f: ZipFn);
-
-    /// `y[i] = f(y[i], x[i])`.
-    fn zip_inplace(&self, y: &mut [f32], x: &[f32], f: ZipFn);
 
     /// Column sums over a `rows×cols` matrix: `out[c] = Σ_r x[r][c]`,
     /// accumulated in ascending row order (`out` overwritten, len `cols`).
@@ -161,14 +148,6 @@ pub trait Backend: Send + Sync + fmt::Debug {
         dw: &mut [f32],
     ) {
         scatter_weight_rows(0..spec.in_width(), spec, rows, numeric, indices, n, grad, dw);
-    }
-
-    /// How many workers this backend would apply to an element-wise op over
-    /// `elems` elements. Callers use this to keep closures monomorphised
-    /// (and fast) on the serial path: a return of 1 means "run it inline".
-    fn elementwise_parallelism(&self, elems: usize) -> usize {
-        let _ = elems;
-        1
     }
 }
 
@@ -432,30 +411,6 @@ impl Backend for Reference {
         }
     }
 
-    fn map(&self, x: &[f32], out: &mut [f32], f: MapFn) {
-        for (o, &v) in out.iter_mut().zip(x) {
-            *o = f(v);
-        }
-    }
-
-    fn map_inplace(&self, x: &mut [f32], f: MapFn) {
-        for v in x.iter_mut() {
-            *v = f(*v);
-        }
-    }
-
-    fn zip(&self, a: &[f32], b: &[f32], out: &mut [f32], f: ZipFn) {
-        for ((o, &av), &bv) in out.iter_mut().zip(a).zip(b) {
-            *o = f(av, bv);
-        }
-    }
-
-    fn zip_inplace(&self, y: &mut [f32], x: &[f32], f: ZipFn) {
-        for (yv, &xv) in y.iter_mut().zip(x) {
-            *yv = f(*yv, xv);
-        }
-    }
-
     fn sum_rows(&self, rows: usize, cols: usize, x: &[f32], out: &mut [f32]) {
         sum_rows_cols(0..cols, rows, cols, x, out);
     }
@@ -479,23 +434,47 @@ impl Backend for Reference {
 // Parallel backend.
 // ---------------------------------------------------------------------------
 
-/// Minimum multiply-add count before a GEMM fans out to workers; below it
-/// the scoped-pool setup costs more than the kernel.
-const PAR_GEMM_MIN_MADDS: usize = 1 << 18;
-/// Minimum element count before element-wise / reduction ops fan out.
-const PAR_ELEM_MIN: usize = 1 << 16;
+// Fan-out thresholds, measured per kernel family against the persistent
+// pool (EXPERIMENTS.md, "End-to-end benchmark — persistent kernel worker
+// pool"). Below them the serial kernel is faster than publishing blocks
+// to a helper.
 
-/// Register-blocked SIMD kernels over a scoped worker pool.
+/// Minimum multiply-add count before a GEMM-family kernel (the three GEMM
+/// variants and the sparse gather) fans out.
+const PAR_GEMM_MIN_MADDS: usize = 1 << 18;
+/// Minimum output rows per block in a GEMM-family fan-out: thinner blocks
+/// fall off the micro-kernels' 4-row tiles and run slower split than
+/// whole, so a call with few output rows gets fewer, fatter blocks.
+const PAR_GEMM_MIN_BLOCK_ROWS: usize = 4;
+/// Minimum output rows before `gemm_transpose` fans out. The caller packs
+/// the whole `Bᵀ` panel, so every helper block first pulls that panel out
+/// of the caller's cache; with fewer rows the transfer costs more than the
+/// split saves.
+const PAR_PACKED_MIN_ROWS: usize = 128;
+/// Minimum element count before the memory-bound element-wise kernels
+/// (axpy, scale, the GELU backward) fan out.
+const PAR_ELEM_MIN: usize = 1 << 16;
+/// Minimum element count before the kernels that evaluate a
+/// transcendental per element (the GELU forward's `tanh`, softmax's `exp`)
+/// fan out.
+const PAR_TRANSCENDENTAL_MIN: usize = 1 << 12;
+
+/// Register-blocked SIMD kernels over the process-wide worker pool.
 ///
-/// Output rows are split into `4×threads` blocks pushed onto a shared MPMC
-/// queue; each worker drains blocks until the queue is empty. Every output
-/// element is produced by exactly one worker running the [`crate::simd`]
+/// Output rows are split into `4×threads` blocks (GEMM-family blocks at
+/// least [`PAR_GEMM_MIN_BLOCK_ROWS`] rows) that the calling thread
+/// and up to `threads - 1` long-lived pool helpers claim one at a time
+/// (see [`crate::pool`]), so uneven blocks self-balance. Every output
+/// element is produced by exactly one thread running the [`crate::simd`]
 /// micro-kernels, which accumulate in the same per-element order as
 /// [`Reference`], so results are bit-identical at any thread count and
-/// SIMD level. The `map`/`zip` family takes `dyn Fn` closures and cannot
-/// be explicitly vectorised; at one worker those calls are inlined
-/// monomorphised by `Tensor` (see `elementwise_parallelism`) where LLVM
-/// auto-vectorises them.
+/// SIMD level. At most one thread per available core runs a call; a
+/// `Parallel::new(1)` never touches the pool.
+///
+/// Two kernels stay serial at every thread count because splitting them
+/// measured slower at every shape the models produce: `sum_rows` (each
+/// column block re-streams every row) and `scatter_grad` (each weight-row
+/// block re-walks the whole sparse batch).
 #[derive(Debug, Clone, Copy)]
 pub struct Parallel {
     threads: usize,
@@ -507,17 +486,24 @@ impl Parallel {
         Self { threads: threads.max(1) }
     }
 
-    /// Splits `out` into per-block `(row_range, chunk)` jobs and runs them
-    /// on the worker pool. `row_width` is the number of `f32`s per output
-    /// row; `kernel` must fully overwrite its chunk.
+    /// Whether a kernel over `elems` elements fans out at threshold `min`.
+    fn fans_out(&self, elems: usize, min: usize) -> bool {
+        self.threads > 1 && elems >= min
+    }
+
+    /// Splits `out` into per-block `(row_range, chunk)` jobs of at least
+    /// `min_block` rows and runs them on the worker pool. `row_width` is
+    /// the number of `f32`s per output row; `kernel` must fully overwrite
+    /// its chunk.
     fn run_rows(
         &self,
         total_rows: usize,
         row_width: usize,
+        min_block: usize,
         out: &mut [f32],
         kernel: impl Fn(Range<usize>, &mut [f32]) + Sync,
     ) {
-        let block = total_rows.div_ceil(self.threads * 4).max(1);
+        let block = total_rows.div_ceil(self.threads * 4).max(min_block).max(1);
         let jobs: Vec<(Range<usize>, &mut [f32])> = out
             .chunks_mut(block * row_width)
             .enumerate()
@@ -539,8 +525,9 @@ impl Parallel {
     }
 }
 
-/// Drains `jobs` with up to `threads` scoped workers pulling from a shared
-/// queue. Falls back to inline execution for a single job or single thread.
+/// Runs `work` once per job on the calling thread and at most
+/// `threads - 1` [`crate::pool`] helpers. Runs inline for a single job or
+/// a single thread.
 fn run_jobs<T: Send>(threads: usize, jobs: Vec<T>, work: impl Fn(T) + Sync) {
     if threads <= 1 || jobs.len() <= 1 {
         for job in jobs {
@@ -548,26 +535,14 @@ fn run_jobs<T: Send>(threads: usize, jobs: Vec<T>, work: impl Fn(T) + Sync) {
         }
         return;
     }
-    let workers = threads.min(jobs.len());
-    let (tx, rx) = crossbeam::channel::unbounded();
-    for job in jobs {
-        let _ = tx.send(job);
-    }
-    drop(tx);
-    let work = &work;
-    crossbeam::thread::scope(|s| {
-        for _ in 0..workers {
-            let rx = rx.clone();
-            s.spawn(move |_| {
-                // All jobs are enqueued before the scope starts and the
-                // sender is dropped, so an empty queue means "done".
-                while let Ok(job) = rx.try_recv() {
-                    work(job);
-                }
-            });
+    // Each block index is claimed exactly once, so each slot is taken once.
+    let slots: Vec<Mutex<Option<T>>> = jobs.into_iter().map(|job| Mutex::new(Some(job))).collect();
+    pool::run(threads, slots.len(), &|i| {
+        let job = slots[i].lock().unwrap_or_else(PoisonError::into_inner).take();
+        if let Some(job) = job {
+            work(job);
         }
-    })
-    .expect("kernel worker panicked");
+    });
 }
 
 impl Backend for Parallel {
@@ -580,20 +555,24 @@ impl Backend for Parallel {
     }
 
     fn gemm(&self, m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
-        if self.threads == 1 || m < 2 || m * k * n < PAR_GEMM_MIN_MADDS {
+        if !self.fans_out(m * k * n, PAR_GEMM_MIN_MADDS) {
             return fast_gemm_rows(0..m, k, n, a, b, out);
         }
-        self.run_rows(m, n, out, |rows, chunk| fast_gemm_rows(rows, k, n, a, b, chunk));
+        self.run_rows(m, n, PAR_GEMM_MIN_BLOCK_ROWS, out, |rows, chunk| {
+            fast_gemm_rows(rows, k, n, a, b, chunk)
+        });
     }
 
     fn gemm_transpose(&self, m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
+        let fans_out = self.fans_out(m * k * n, PAR_GEMM_MIN_MADDS) && m >= PAR_PACKED_MIN_ROWS;
         if simd::level() == simd::SimdLevel::Scalar {
             // Forced-scalar fallback: the original per-element dot loops.
-            if self.threads == 1 || m < 2 || m * k * n < PAR_GEMM_MIN_MADDS {
+            if !fans_out {
                 return gemm_transpose_rows(0..m, k, n, a, b, out);
             }
-            return self
-                .run_rows(m, n, out, |rows, chunk| gemm_transpose_rows(rows, k, n, a, b, chunk));
+            return self.run_rows(m, n, PAR_GEMM_MIN_BLOCK_ROWS, out, |rows, chunk| {
+                gemm_transpose_rows(rows, k, n, a, b, chunk)
+            });
         }
         // Pack the Bᵀ panel k-major once on the calling thread, then run
         // the plain gemm kernel over it: the per-element dot order is
@@ -601,20 +580,22 @@ impl Backend for Parallel {
         // Workers share the packed panel read-only.
         let mut packed = workspace::take_vec(k * n);
         simd::pack_transpose(n, k, b, &mut packed);
-        if self.threads == 1 || m < 2 || m * k * n < PAR_GEMM_MIN_MADDS {
+        if !fans_out {
             fast_gemm_rows(0..m, k, n, a, &packed, out);
         } else {
             let bp: &[f32] = &packed;
-            self.run_rows(m, n, out, |rows, chunk| fast_gemm_rows(rows, k, n, a, bp, chunk));
+            self.run_rows(m, n, PAR_GEMM_MIN_BLOCK_ROWS, out, |rows, chunk| {
+                fast_gemm_rows(rows, k, n, a, bp, chunk)
+            });
         }
         workspace::recycle_vec(packed);
     }
 
     fn transpose_gemm(&self, l: usize, m: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
-        if self.threads == 1 || m < 2 || l * m * n < PAR_GEMM_MIN_MADDS {
+        if !self.fans_out(l * m * n, PAR_GEMM_MIN_MADDS) {
             return fast_transpose_gemm_rows(0..m, l, m, n, a, b, out);
         }
-        self.run_rows(m, n, out, |cols, chunk| {
+        self.run_rows(m, n, PAR_GEMM_MIN_BLOCK_ROWS, out, |cols, chunk| {
             fast_transpose_gemm_rows(cols, l, m, n, a, b, chunk)
         });
     }
@@ -630,39 +611,16 @@ impl Backend for Parallel {
         out: &mut [f32],
     ) {
         // Cost scales with nonzeros, not the densified width.
-        let madds = rows * spec.nnz_width() * n;
-        if self.threads == 1 || rows < 2 || madds < PAR_GEMM_MIN_MADDS {
+        if !self.fans_out(rows * spec.nnz_width() * n, PAR_GEMM_MIN_MADDS) {
             return gather_rows(0..rows, spec, numeric, indices, n, w, out);
         }
-        self.run_rows(rows, n, out, |rows, chunk| {
+        self.run_rows(rows, n, PAR_GEMM_MIN_BLOCK_ROWS, out, |rows, chunk| {
             gather_rows(rows, spec, numeric, indices, n, w, chunk)
         });
     }
 
-    fn scatter_grad(
-        &self,
-        rows: usize,
-        n: usize,
-        spec: &SparseSpec,
-        numeric: &[f32],
-        indices: &[u32],
-        grad: &[f32],
-        dw: &mut [f32],
-    ) {
-        let madds = rows * spec.nnz_width() * n;
-        let in_width = spec.in_width();
-        if self.threads == 1 || in_width < 2 || madds < PAR_GEMM_MIN_MADDS {
-            return scatter_weight_rows(0..in_width, spec, rows, numeric, indices, n, grad, dw);
-        }
-        // Partition by weight row: each dw element has a single writer
-        // accumulating batch rows in ascending order, as Reference does.
-        self.run_rows(in_width, n, dw, |wrows, chunk| {
-            scatter_weight_rows(wrows, spec, rows, numeric, indices, n, grad, chunk)
-        });
-    }
-
     fn axpy(&self, alpha: f32, x: &[f32], y: &mut [f32]) {
-        if self.threads == 1 || y.len() < PAR_ELEM_MIN {
+        if !self.fans_out(y.len(), PAR_ELEM_MIN) {
             return simd::axpy(alpha, x, y);
         }
         self.run_elems(y, |offset, chunk| {
@@ -672,75 +630,21 @@ impl Backend for Parallel {
     }
 
     fn scale(&self, alpha: f32, y: &mut [f32]) {
-        if self.threads == 1 || y.len() < PAR_ELEM_MIN {
+        if !self.fans_out(y.len(), PAR_ELEM_MIN) {
             return simd::scale(alpha, y);
         }
         self.run_elems(y, |_, chunk| simd::scale(alpha, chunk));
     }
 
-    fn map(&self, x: &[f32], out: &mut [f32], f: MapFn) {
-        if self.threads == 1 || x.len() < PAR_ELEM_MIN {
-            return Reference.map(x, out, f);
-        }
-        self.run_elems(out, |offset, chunk| {
-            let end = offset + chunk.len();
-            for (o, &v) in chunk.iter_mut().zip(&x[offset..end]) {
-                *o = f(v);
-            }
-        });
-    }
-
-    fn map_inplace(&self, x: &mut [f32], f: MapFn) {
-        if self.threads == 1 || x.len() < PAR_ELEM_MIN {
-            return Reference.map_inplace(x, f);
-        }
-        self.run_elems(x, |_, chunk| {
-            for v in chunk.iter_mut() {
-                *v = f(*v);
-            }
-        });
-    }
-
-    fn zip(&self, a: &[f32], b: &[f32], out: &mut [f32], f: ZipFn) {
-        if self.threads == 1 || a.len() < PAR_ELEM_MIN {
-            return Reference.zip(a, b, out, f);
-        }
-        self.run_elems(out, |offset, chunk| {
-            let end = offset + chunk.len();
-            for ((o, &av), &bv) in chunk.iter_mut().zip(&a[offset..end]).zip(&b[offset..end]) {
-                *o = f(av, bv);
-            }
-        });
-    }
-
-    fn zip_inplace(&self, y: &mut [f32], x: &[f32], f: ZipFn) {
-        if self.threads == 1 || y.len() < PAR_ELEM_MIN {
-            return Reference.zip_inplace(y, x, f);
-        }
-        self.run_elems(y, |offset, chunk| {
-            let end = offset + chunk.len();
-            for (yv, &xv) in chunk.iter_mut().zip(&x[offset..end]) {
-                *yv = f(*yv, xv);
-            }
-        });
-    }
-
     fn sum_rows(&self, rows: usize, cols: usize, x: &[f32], out: &mut [f32]) {
-        if self.threads == 1 || rows * cols < PAR_ELEM_MIN || cols < 2 {
-            return Reference.sum_rows(rows, cols, x, out);
-        }
-        // Partition *columns*: each worker owns a column range and walks all
-        // rows in ascending order, matching the reference accumulation.
-        self.run_rows(cols, 1, out, |col_range, chunk| {
-            sum_rows_cols(col_range, rows, cols, x, chunk)
-        });
+        Reference.sum_rows(rows, cols, x, out);
     }
 
     fn softmax_rows(&self, rows: usize, cols: usize, x: &mut [f32]) {
-        if self.threads == 1 || rows * cols < PAR_ELEM_MIN || rows < 2 {
+        if !self.fans_out(rows * cols, PAR_TRANSCENDENTAL_MIN) {
             return Reference.softmax_rows(rows, cols, x);
         }
-        self.run_rows(rows, cols, x, |row_range, chunk| {
+        self.run_rows(rows, cols, 1, x, |row_range, chunk| {
             for local in 0..row_range.len() {
                 softmax_row(&mut chunk[local * cols..(local + 1) * cols]);
             }
@@ -748,7 +652,7 @@ impl Backend for Parallel {
     }
 
     fn gelu(&self, x: &[f32], out: &mut [f32], tanh_out: Option<&mut [f32]>) {
-        if self.threads == 1 || x.len() < PAR_ELEM_MIN {
+        if !self.fans_out(x.len(), PAR_TRANSCENDENTAL_MIN) {
             return simd::gelu(x, out, tanh_out);
         }
         let block = x.len().div_ceil(self.threads * 4);
@@ -762,21 +666,13 @@ impl Backend for Parallel {
     }
 
     fn gelu_backward(&self, x: &[f32], tanh: &[f32], g: &[f32], dx: &mut [f32]) {
-        if self.threads == 1 || x.len() < PAR_ELEM_MIN {
+        if !self.fans_out(x.len(), PAR_ELEM_MIN) {
             return simd::gelu_backward(x, tanh, g, dx);
         }
         self.run_elems(dx, |offset, chunk| {
             let end = offset + chunk.len();
             simd::gelu_backward(&x[offset..end], &tanh[offset..end], &g[offset..end], chunk);
         });
-    }
-
-    fn elementwise_parallelism(&self, elems: usize) -> usize {
-        if elems >= PAR_ELEM_MIN {
-            self.threads
-        } else {
-            1
-        }
     }
 }
 
@@ -898,22 +794,6 @@ impl Backend for HalfPrecision {
         self.inner.scale(alpha, y);
     }
 
-    fn map(&self, x: &[f32], out: &mut [f32], f: MapFn) {
-        self.inner.map(x, out, f);
-    }
-
-    fn map_inplace(&self, x: &mut [f32], f: MapFn) {
-        self.inner.map_inplace(x, f);
-    }
-
-    fn zip(&self, a: &[f32], b: &[f32], out: &mut [f32], f: ZipFn) {
-        self.inner.zip(a, b, out, f);
-    }
-
-    fn zip_inplace(&self, y: &mut [f32], x: &[f32], f: ZipFn) {
-        self.inner.zip_inplace(y, x, f);
-    }
-
     fn sum_rows(&self, rows: usize, cols: usize, x: &[f32], out: &mut [f32]) {
         self.inner.sum_rows(rows, cols, x, out);
     }
@@ -928,10 +808,6 @@ impl Backend for HalfPrecision {
 
     fn gelu_backward(&self, x: &[f32], tanh: &[f32], g: &[f32], dx: &mut [f32]) {
         self.inner.gelu_backward(x, tanh, g, dx);
-    }
-
-    fn elementwise_parallelism(&self, elems: usize) -> usize {
-        self.inner.elementwise_parallelism(elems)
     }
 }
 
@@ -997,11 +873,14 @@ fn compose(base: &Arc<dyn Backend>, precision: Precision) -> Arc<dyn Backend> {
     }
 }
 
-/// Base backend implied by `SILOFUSE_THREADS` (unset/invalid/≤1 → one
-/// worker, i.e. serial SIMD kernels).
+/// Base backend implied by `SILOFUSE_THREADS`: unset → one worker per
+/// available core; invalid or ≤1 → one worker, i.e. serial SIMD kernels.
 fn base_from_env() -> Arc<dyn Backend> {
-    let n = std::env::var("SILOFUSE_THREADS").ok().and_then(|v| v.parse::<usize>().ok());
-    backend_for_threads(n.unwrap_or(1))
+    let n = match std::env::var("SILOFUSE_THREADS") {
+        Ok(v) => v.parse::<usize>().unwrap_or(1),
+        Err(_) => std::thread::available_parallelism().map_or(1, |n| n.get()),
+    };
+    backend_for_threads(n)
 }
 
 /// Precision implied by `SILOFUSE_PRECISION` (unset/unknown → f32).
@@ -1072,7 +951,8 @@ pub fn force_f32() -> ForceF32Guard {
 }
 
 /// Selects the backend for a worker count: one [`Parallel`] worker (serial
-/// SIMD kernels) for `n ≤ 1`, a worker pool otherwise.
+/// SIMD kernels) for `n ≤ 1`, up to `n` threads of the worker pool
+/// otherwise.
 pub fn set_threads(n: usize) {
     set(backend_for_threads(n));
 }
@@ -1143,10 +1023,13 @@ pub const SCATTER_COUNTERS: KernelCounters =
 /// Counters for [`Backend::axpy`] / [`Backend::scale`].
 pub const AXPY_COUNTERS: KernelCounters =
     KernelCounters { calls: "nn.kernel.axpy.calls", nanos: "nn.kernel.axpy.ns" };
-/// Counters for [`Backend::map`] / [`Backend::map_inplace`].
+/// Counters for the element-wise `map` kernel. `Tensor` runs its map
+/// closures inline, so nothing charges them; kept because consumers
+/// (perfbench's metric catalogue) list every name here.
 pub const MAP_COUNTERS: KernelCounters =
     KernelCounters { calls: "nn.kernel.map.calls", nanos: "nn.kernel.map.ns" };
-/// Counters for [`Backend::zip`] / [`Backend::zip_inplace`].
+/// Counters for the element-wise `zip` kernel; like [`MAP_COUNTERS`],
+/// nothing charges them.
 pub const ZIP_COUNTERS: KernelCounters =
     KernelCounters { calls: "nn.kernel.zip.calls", nanos: "nn.kernel.zip.ns" };
 /// Counters for [`Backend::sum_rows`].
@@ -1232,7 +1115,8 @@ mod tests {
 
     #[test]
     fn parallel_fanout_path_is_bit_identical() {
-        // Big enough to clear PAR_GEMM_MIN_MADDS so workers really spawn.
+        // Big enough to clear PAR_GEMM_MIN_MADDS so the gemm reaches the
+        // pool (the gemm_transpose, below PAR_PACKED_MIN_ROWS, stays serial).
         let (m, k, n) = (96, 64, 64);
         let a = noise(m * k, 3);
         let b = noise(k * n, 4);
@@ -1265,11 +1149,10 @@ mod tests {
     fn elementwise_kernels_match() {
         let x = noise(100_000, 7);
         let y0 = noise(100_000, 8);
-        let f: fn(f32) -> f32 = |v| v * 1.5 - 0.25;
-        let mut want = vec![0.0; x.len()];
-        Reference.map(&x, &mut want, &f);
-        let mut got = vec![0.0; x.len()];
-        Parallel::new(4).map(&x, &mut got, &f);
+        let mut want = x.clone();
+        Reference.scale(1.5, &mut want);
+        let mut got = x.clone();
+        Parallel::new(4).scale(1.5, &mut got);
         assert_eq!(want, got);
 
         let mut want_y = y0.clone();
@@ -1458,6 +1341,103 @@ mod tests {
                 );
             }
         }
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// One round of fanned-out GEMM, gather and GELU calls on `be`, each
+    /// checked bit for bit against [`Reference`].
+    fn mixed_kernels_match_reference(be: &Parallel, seed: u64) {
+        let (m, k, n) = (192, 128, 96);
+        let a = noise(m * k, seed);
+        let b = noise(k * n, seed + 1);
+        let (mut want, mut got) = (vec![0.0; m * n], vec![f32::NAN; m * n]);
+        Reference.gemm(m, k, n, &a, &b, &mut want);
+        be.gemm(m, k, n, &a, &b, &mut got);
+        assert_eq!(bits(&want), bits(&got), "gemm threads={}", be.threads());
+
+        let bt = noise(n * k, seed + 2);
+        Reference.gemm_transpose(m, k, n, &a, &bt, &mut want);
+        be.gemm_transpose(m, k, n, &a, &bt, &mut got);
+        assert_eq!(bits(&want), bits(&got), "gemm_transpose threads={}", be.threads());
+
+        let g = noise(m * n, seed + 3);
+        let (mut want_t, mut got_t) = (vec![0.0; k * n], vec![f32::NAN; k * n]);
+        Reference.transpose_gemm(m, k, n, &a, &g, &mut want_t);
+        be.transpose_gemm(m, k, n, &a, &g, &mut got_t);
+        assert_eq!(bits(&want_t), bits(&got_t), "transpose_gemm threads={}", be.threads());
+
+        let rows = 512;
+        let (spec, numeric, indices, _) = sparse_fixture(rows, seed + 4);
+        let w = noise(spec.in_width() * n, seed + 5);
+        let (mut want_s, mut got_s) = (vec![0.0; rows * n], vec![f32::NAN; rows * n]);
+        Reference.gather_gemm(rows, n, &spec, &numeric, &indices, &w, &mut want_s);
+        be.gather_gemm(rows, n, &spec, &numeric, &indices, &w, &mut got_s);
+        assert_eq!(bits(&want_s), bits(&got_s), "gather threads={}", be.threads());
+
+        let x = noise(m * n, seed + 6);
+        let (mut want_g, mut got_g) = (vec![0.0; m * n], vec![f32::NAN; m * n]);
+        let (mut want_th, mut got_th) = (vec![0.0; m * n], vec![f32::NAN; m * n]);
+        Reference.gelu(&x, &mut want_g, Some(&mut want_th));
+        be.gelu(&x, &mut got_g, Some(&mut got_th));
+        assert_eq!(bits(&want_g), bits(&got_g), "gelu threads={}", be.threads());
+        assert_eq!(bits(&want_th), bits(&got_th), "gelu tanh threads={}", be.threads());
+    }
+
+    #[test]
+    fn concurrent_callers_share_the_pool_bit_identically() {
+        std::thread::scope(|s| {
+            for caller in 0..4u64 {
+                s.spawn(move || {
+                    for round in 0..6 {
+                        let be = Parallel::new(if (caller + round) % 2 == 0 { 2 } else { 4 });
+                        mixed_kernels_match_reference(&be, 100 * caller + 10 * round);
+                    }
+                });
+            }
+        });
+    }
+
+    #[test]
+    fn a_panicking_block_reraises_on_its_caller_and_the_pool_recovers() {
+        // Every block panics, whichever thread runs it.
+        let caught = std::panic::catch_unwind(|| pool::run(2, 8, &|_| panic!("block failure")));
+        assert!(caught.is_err(), "the block panic must reach the caller");
+
+        // Only helper-run blocks panic. The job gets a helper seat
+        // whatever other threads are doing, and the caller's blocks wait
+        // until a helper has run one.
+        if pool::helpers() > 0 {
+            use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
+            let caller = std::thread::current().id();
+            let helper_ran = AtomicBool::new(false);
+            let caught = std::panic::catch_unwind(|| {
+                pool::run_with_seats(1, 16, &|_| {
+                    if std::thread::current().id() != caller {
+                        helper_ran.store(true, SeqCst);
+                        panic!("helper block failure");
+                    }
+                    while !helper_ran.load(SeqCst) {
+                        std::thread::yield_now();
+                    }
+                })
+            });
+            assert!(caught.is_err(), "a helper's block panic must reach the caller");
+        }
+
+        mixed_kernels_match_reference(&Parallel::new(2), 72);
+    }
+
+    #[test]
+    fn one_worker_never_touches_the_pool() {
+        let calls = || pool::RUN_CALLS.with(|c| c.get());
+        let before = calls();
+        mixed_kernels_match_reference(&Parallel::new(1), 81);
+        assert_eq!(calls(), before, "Parallel::new(1) entered the pool");
+        mixed_kernels_match_reference(&Parallel::new(2), 82);
+        assert!(calls() > before, "the fan-out shapes must reach the pool at 2 threads");
     }
 
     #[test]

@@ -44,6 +44,7 @@ pub mod init;
 pub mod layers;
 pub mod loss;
 pub mod optim;
+mod pool;
 pub mod serialize;
 pub mod simd;
 pub mod sparse;

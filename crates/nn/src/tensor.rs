@@ -245,34 +245,20 @@ impl Tensor {
     }
 
     /// Element-wise combination of two same-shape tensors.
-    pub fn zip_with(&self, other: &Tensor, f: impl Fn(f32, f32) -> f32 + Sync) -> Tensor {
+    pub fn zip_with(&self, other: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
         assert_eq!(self.shape(), other.shape(), "zip_with shape mismatch");
         let mut out = workspace::take(self.rows, self.cols);
-        let be = backend::get();
-        if be.elementwise_parallelism(self.data.len()) > 1 {
-            backend::timed(backend::ZIP_COUNTERS, || {
-                be.zip(&self.data, &other.data, out.as_mut_slice(), &f);
-            });
-        } else {
-            for ((o, &a), &b) in out.as_mut_slice().iter_mut().zip(&self.data).zip(&other.data) {
-                *o = f(a, b);
-            }
+        for ((o, &a), &b) in out.as_mut_slice().iter_mut().zip(&self.data).zip(&other.data) {
+            *o = f(a, b);
         }
         out
     }
 
     /// In-place element-wise combination: `self[i] = f(self[i], other[i])`.
-    pub fn zip_assign(&mut self, other: &Tensor, f: impl Fn(f32, f32) -> f32 + Sync) {
+    pub fn zip_assign(&mut self, other: &Tensor, f: impl Fn(f32, f32) -> f32) {
         assert_eq!(self.shape(), other.shape(), "zip_assign shape mismatch");
-        let be = backend::get();
-        if be.elementwise_parallelism(self.data.len()) > 1 {
-            backend::timed(backend::ZIP_COUNTERS, || {
-                be.zip_inplace(&mut self.data, &other.data, &f);
-            });
-        } else {
-            for (a, &b) in self.data.iter_mut().zip(other.data.iter()) {
-                *a = f(*a, b);
-            }
+        for (a, &b) in self.data.iter_mut().zip(other.data.iter()) {
+            *a = f(*a, b);
         }
     }
 
@@ -302,32 +288,18 @@ impl Tensor {
     }
 
     /// Applies `f` element-wise into a new tensor.
-    pub fn map(&self, f: impl Fn(f32) -> f32 + Sync) -> Tensor {
+    pub fn map(&self, f: impl Fn(f32) -> f32) -> Tensor {
         let mut out = workspace::take(self.rows, self.cols);
-        let be = backend::get();
-        if be.elementwise_parallelism(self.data.len()) > 1 {
-            backend::timed(backend::MAP_COUNTERS, || {
-                be.map(&self.data, out.as_mut_slice(), &f);
-            });
-        } else {
-            for (o, &v) in out.as_mut_slice().iter_mut().zip(&self.data) {
-                *o = f(v);
-            }
+        for (o, &v) in out.as_mut_slice().iter_mut().zip(&self.data) {
+            *o = f(v);
         }
         out
     }
 
     /// Applies `f` element-wise in place.
-    pub fn map_assign(&mut self, f: impl Fn(f32) -> f32 + Sync) {
-        let be = backend::get();
-        if be.elementwise_parallelism(self.data.len()) > 1 {
-            backend::timed(backend::MAP_COUNTERS, || {
-                be.map_inplace(&mut self.data, &f);
-            });
-        } else {
-            for v in &mut self.data {
-                *v = f(*v);
-            }
+    pub fn map_assign(&mut self, f: impl Fn(f32) -> f32) {
+        for v in &mut self.data {
+            *v = f(*v);
         }
     }
 

@@ -102,20 +102,6 @@ proptest! {
             par.axpy(1.5, &x, &mut got);
             prop_assert!(bits_eq(&want, &got), "axpy diverged at {t} threads");
 
-            let f = |v: f32| (v * 0.5).tanh();
-            let mut want = vec![0.0f32; x.len()];
-            Reference.map(&x, &mut want, &f);
-            let mut got = vec![0.0f32; x.len()];
-            par.map(&x, &mut got, &f);
-            prop_assert!(bits_eq(&want, &got), "map diverged at {t} threads");
-
-            let g = |a: f32, b: f32| a.mul_add(b, a);
-            let mut want = vec![0.0f32; x.len()];
-            Reference.zip(&x, &y0, &mut want, &g);
-            let mut got = vec![0.0f32; x.len()];
-            par.zip(&x, &y0, &mut got, &g);
-            prop_assert!(bits_eq(&want, &got), "zip diverged at {t} threads");
-
             let mut want = vec![0.0f32; cols];
             Reference.sum_rows(rows, cols, &x, &mut want);
             let mut got = vec![0.0f32; cols];

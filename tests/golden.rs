@@ -3,8 +3,9 @@
 //!
 //! Performance work and refactors must leave these values untouched. A PR
 //! that changes an expected value on purpose says why in CHANGES.md.
-//! The suite runs unchanged under `SILOFUSE_THREADS=4` (CI), so it also
-//! pins that the parallel backend produces the same bytes.
+//! The default backend uses every core of the host, so one stacked case
+//! also pins the bytes at explicit 1 and 2 backend threads, and CI runs
+//! the suite under `SILOFUSE_THREADS=1` and `=4` as well.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -114,6 +115,15 @@ fn stacked_adult_pins_bytes_and_fig10_counts() {
         let got = adult_run(true, encoding);
         eprintln!("stacked {encoding:?}: {got:x?}");
         assert_eq!(got, STACKED_ADULT, "SiloFuse stacked, {encoding:?} encoding");
+    }
+}
+
+#[test]
+fn stacked_adult_pins_bytes_at_one_and_two_backend_threads() {
+    for threads in [1, 2] {
+        silofuse_nn::backend::set_threads(threads);
+        let got = adult_run(true, SparsePolicy::Dense);
+        assert_eq!(got, STACKED_ADULT, "SiloFuse stacked at {threads} backend thread(s)");
     }
 }
 
